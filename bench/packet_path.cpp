@@ -49,6 +49,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/experiment.hpp"
@@ -81,6 +82,7 @@ struct BenchRow {
   std::uint64_t sim_events = 0;  // events executed (end-to-end rows)
   std::uint64_t delivered = 0;   // packets delivered (end-to-end rows)
   std::uint64_t trace_records = 0;  // TraceSink records (traced row)
+  std::size_t trace_reserved_bytes = 0;  // TraceSink storage after the run
   bool profiled = false;            // phase_s below is meaningful
   std::array<double, kProfilePhases> phase_s{};  // per-phase self time
 };
@@ -288,7 +290,9 @@ BenchRow bench_fig02_point(double duration, int repeat) {
 // The same heavy-congestion point with a TraceSink attached to every tap:
 // what full observability costs per event. The deterministic counters
 // (sim_events, delivered) must match the untraced row exactly — tracing
-// adds no scheduler events and consumes no RNG.
+// adds no scheduler events and consumes no RNG. The ring grows chunk by
+// chunk as records arrive, inside the timed region, and
+// trace_reserved_bytes records what it grew to.
 BenchRow bench_fig02_traced(double duration, int repeat) {
   Scenario sc = Scenario::paper_default();
   sc.num_clients = 60;
@@ -297,8 +301,9 @@ BenchRow bench_fig02_traced(double duration, int repeat) {
   sc.duration = duration;
   double best = 1e99;
   std::uint64_t events = 0, delivered = 0, records = 0;
+  std::size_t reserved = 0;
   for (int rep = 0; rep < repeat; ++rep) {
-    TraceSink sink;  // ring allocated outside the timed region
+    TraceSink sink;
     ExperimentOptions opts;
     opts.trace = &sink;
     const double t0 = now_s();
@@ -307,11 +312,13 @@ BenchRow bench_fig02_traced(double duration, int repeat) {
     events = r.sim_events ? r.sim_events : 1;
     delivered = r.delivered;
     records = sink.emitted();
+    reserved = sink.reserved_bytes();
   }
   BenchRow r = finish("fig02_n60_reno_red_traced", events, best);
   r.sim_events = events;
   r.delivered = delivered;
   r.trace_records = records;
+  r.trace_reserved_bytes = reserved;
   return r;
 }
 
@@ -347,11 +354,13 @@ BenchRow bench_fig02_lp2(double duration, int repeat) {
 }
 
 // The traced run on 2 LPs: each LP records into its own ring, merged at
-// the end of the run (TraceSink::merge_from). Event tracing still adds
-// no scheduler events and consumes no RNG, so (sim_events, delivered)
-// must match the untraced lp2 row — and trace_records must match the
-// sequential traced row's, since the merged view is byte-identical to
-// the lp=1 trace (scripts/check_parallel.py enforces both pairings).
+// the end of the run (TraceSink::merge_from), which then frees the
+// per-LP rings; trace_reserved_bytes is the merged sink's storage. Event
+// tracing still adds no scheduler events and consumes no RNG, so
+// (sim_events, delivered) must match the untraced lp2 row — and
+// trace_records must match the sequential traced row's, since the merged
+// view is byte-identical to the lp=1 trace (scripts/check_parallel.py
+// enforces both pairings).
 BenchRow bench_fig02_lp2_traced(double duration, int repeat) {
   Scenario sc = Scenario::paper_default();
   sc.num_clients = 60;
@@ -360,8 +369,9 @@ BenchRow bench_fig02_lp2_traced(double duration, int repeat) {
   sc.duration = duration;
   double best = 1e99;
   std::uint64_t events = 0, delivered = 0, records = 0;
+  std::size_t reserved = 0;
   for (int rep = 0; rep < repeat; ++rep) {
-    TraceSink sink;  // merge target; per-LP rings allocated inside the run
+    TraceSink sink;  // merge target; per-LP rings live inside the run
     ExperimentOptions opts;
     opts.trace = &sink;
     opts.lp_shards = 2;
@@ -371,11 +381,13 @@ BenchRow bench_fig02_lp2_traced(double duration, int repeat) {
     events = r.sim_events ? r.sim_events : 1;
     delivered = r.delivered;
     records = sink.emitted();
+    reserved = sink.reserved_bytes();
   }
   BenchRow r = finish("fig02_n60_reno_red_lp2_traced", events, best);
   r.sim_events = events;
   r.delivered = delivered;
   r.trace_records = records;
+  r.trace_reserved_bytes = reserved;
   return r;
 }
 
@@ -420,6 +432,10 @@ void write_json(const std::string& path, const std::vector<BenchRow>& rows,
   std::ofstream out(path, std::ios::trunc);
   out << "{\n  \"bench\": \"packet_path\",\n  \"mode\": \""
       << (smoke ? "smoke" : "full") << "\",\n  \"schema\": 1,\n"
+      << "  \"hw_threads\": " << std::thread::hardware_concurrency() << ",\n"
+      << "  \"trace_record_bytes\": " << sizeof(TraceRecord) << ",\n"
+      << "  \"trace_chunk_bytes\": "
+      << TraceSink::kChunkRecords * sizeof(TraceRecord) << ",\n"
       << "  \"results\": [\n";
   out.precision(6);
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -435,7 +451,8 @@ void write_json(const std::string& path, const std::vector<BenchRow>& rows,
           << r.delivered;
     }
     if (r.trace_records > 0) {
-      out << ", \"trace_records\": " << r.trace_records;
+      out << ", \"trace_records\": " << r.trace_records
+          << ", \"trace_reserved_bytes\": " << r.trace_reserved_bytes;
     }
     if (r.profiled) {
       out << ", \"phase_seconds\": {";

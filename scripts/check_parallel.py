@@ -7,7 +7,7 @@ Usage:
                     [--baseline bench/baselines/BENCH_parallel.json] \
                     [--threshold F] [--write-baseline PATH]
 
-Three kinds of checks:
+Checks:
 
 * Events exact (within each current file, no baseline needed): a parallel
   row must execute EXACTLY as many simulator events as its sequential
@@ -19,6 +19,19 @@ Three kinds of checks:
   against ``fig02_n60_reno_red_traced`` on sim_events, delivered AND
   trace_records: the merged per-LP rings must reproduce the lp=1 trace
   record-for-record.
+
+* Trace memory (within the packet_path file): every traced row's
+  ``trace_reserved_bytes`` must stay within ``trace_records`` x the
+  record size plus one storage chunk per LP (the file's
+  ``trace_record_bytes`` / ``trace_chunk_bytes``) — the rings grow with
+  what they hold instead of reserving their cap. Deterministic.
+
+* Traced parallel wall (within the packet_path file): every
+  ``fig02_n60_reno_red_lpK_traced`` row's wall must stay within 1.5x of
+  the sequential traced row's — merging the per-LP rings must not cost
+  more than the parallel run saves. Raw ratio from the same invocation,
+  applied only when the file's ``hw_threads`` is at least 2 (on one core
+  the LP threads serialize and the barriers are pure overhead).
 
 * Flight-recorder overhead (within the meanfield file): every
   ``meanfield_nN_fr`` row's wall must stay within 5% (+0.15 s slack) of
@@ -58,6 +71,10 @@ PACKET_LP = re.compile(r"^(fig02_n60_reno_red)_lp(\d+)$")
 # untouched packet counters) must be equal.
 PACKET_LP_TRACED = re.compile(r"^(fig02_n60_reno_red)_lp(\d+)_traced$")
 MEANFIELD_FR = re.compile(r"^(meanfield_n\d+)_fr$")
+# Any traced fig02 row; group 2 is the LP count of a parallel one.
+PACKET_TRACED = re.compile(r"^fig02_n60_reno_red(_lp(\d+))?_traced$")
+# Traced parallel row wall vs the sequential traced row (raw ratio).
+TRACED_LP_WALL_RATIO = 1.5
 # Flight-recorder overhead ceiling: wall within 5% of the untraced twin
 # (plus a small absolute slack so sub-second smoke rows don't gate on
 # scheduler noise).
@@ -179,6 +196,68 @@ def check_flight_recorder(rows, failures):
     return found
 
 
+def check_trace_memory(doc, rows, failures):
+    """Traced rows: ring storage within records x record size + one chunk
+    per LP."""
+    record_b = doc.get("trace_record_bytes")
+    chunk_b = doc.get("trace_chunk_bytes")
+    if record_b is None or chunk_b is None:
+        failures.append("packet_path file lacks trace_record_bytes / "
+                        "trace_chunk_bytes")
+        return 0
+    found = 0
+    for name in sorted(rows):
+        m = PACKET_TRACED.match(name)
+        if not m:
+            continue
+        found += 1
+        row = rows[name]
+        shards = int(m.group(2) or 1)
+        reserved = row.get("trace_reserved_bytes")
+        if reserved is None:
+            failures.append(f"{name}: trace_reserved_bytes absent")
+            continue
+        ceiling = row.get("trace_records", 0) * record_b + shards * chunk_b
+        ok = reserved <= ceiling
+        print(
+            f"  {name}: {reserved} B reserved for {row.get('trace_records', 0)}"
+            f" records, ceiling {ceiling} B {'ok' if ok else 'REGRESSION'}"
+        )
+        if not ok:
+            failures.append(
+                f"{name}: trace_reserved_bytes {reserved} exceeds "
+                f"{ceiling} (records x {record_b} B + {shards} x {chunk_b} B)"
+            )
+    return found
+
+
+def check_traced_lp_wall(doc, rows, failures):
+    """Traced lpK rows: wall within TRACED_LP_WALL_RATIO of the sequential
+    traced row, on multicore hardware only."""
+    hw = int(doc.get("hw_threads", 0))
+    seq = rows.get("fig02_n60_reno_red_traced")
+    for name in sorted(rows):
+        if not PACKET_LP_TRACED.match(name) or seq is None:
+            continue
+        if hw < 2:
+            print(f"  {name}: machine has {hw} hw threads — not applicable")
+            continue
+        # Both rows came from the same invocation on the same machine, so
+        # the raw ratio is fair (as for the flight-recorder rows).
+        ratio = rows[name]["wall_s"] / seq["wall_s"]
+        ok = ratio <= TRACED_LP_WALL_RATIO
+        print(
+            f"  {name}: wall {rows[name]['wall_s']:.3f} s vs sequential traced"
+            f" {seq['wall_s']:.3f} s ({ratio:.2f}x)"
+            f" {'ok' if ok else 'REGRESSION'}"
+        )
+        if not ok:
+            failures.append(
+                f"{name}: wall {ratio:.2f}x the sequential traced row's, "
+                f"above {TRACED_LP_WALL_RATIO}x"
+            )
+
+
 def check_speedup(doc, rows, failures):
     if doc.get("mode") != "full":
         print("  speedup floors: smoke mode — skipped (full-size rows only)")
@@ -286,6 +365,13 @@ def main():
     )
     if n_tr == 0:
         failures.append("no traced lp rows found in the packet_path file")
+
+    print("trace memory (reserved vs records held):")
+    if check_trace_memory(pp_doc, pp, failures) == 0:
+        failures.append("no traced rows found in the packet_path file")
+
+    print("traced lp wall (vs sequential traced row, multicore only):")
+    check_traced_lp_wall(pp_doc, pp, failures)
 
     print("flight-recorder overhead (fr rows vs untraced twin):")
     n_fr = check_flight_recorder(mf, failures)

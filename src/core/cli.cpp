@@ -1,5 +1,6 @@
 #include "src/core/cli.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -118,7 +119,8 @@ bool apply_option(const std::string& key, const std::string& value,
   double d = 0.0;
   auto need_pos_double = [&](const char* what) {
     if (!need(what)) return false;
-    if (!parse_double(value, &d) || d <= 0.0) {
+    // strtod accepts "nan" and "inf"; either as a duration never ends.
+    if (!parse_double(value, &d) || !std::isfinite(d) || d <= 0.0) {
       return fail(error, "--" + key + " needs a positive number");
     }
     return true;
@@ -192,7 +194,8 @@ bool apply_option(const std::string& key, const std::string& value,
   }
   if (key == "fr-period") {
     double p = 0.0;
-    if (!need("seconds") || !parse_double(value, &p) || !(p > 0.0)) {
+    if (!need("seconds") || !parse_double(value, &p) || !std::isfinite(p) ||
+        p <= 0.0) {
       return fail(error, "--fr-period needs a positive number of seconds");
     }
     req->fr_period = p;

@@ -2,28 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cinttypes>
-#include <cstdio>
 #include <ostream>
+
+#include "src/obs/number_format.hpp"
 
 namespace burst {
 
 namespace {
-
-// max_digits10-precision %g: round-trips any finite double exactly and,
-// unlike shortest-round-trip printing, is deterministic across platforms
-// — the JSONL export is golden-tested byte for byte.
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out += buf;
-}
 
 void append_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
@@ -33,6 +18,110 @@ void append_escaped(std::string& out, std::string_view s) {
 }
 
 constexpr double kMicrosPerSec = 1e6;
+
+// Exports flush their text buffer to the stream at this size.
+constexpr std::size_t kFlushBytes = std::size_t{1} << 20;
+
+// Walks one sink's held records (emission order, as chunk runs) in stable
+// key order without copying them: the key is time, or (time, tie) for the
+// multi-LP merge. A record that keeps up with the running key maximum is
+// read in place; one that falls behind it (a lazily-closed aggregate,
+// emitted after later records) is copied aside up front, and the stably
+// sorted asides are merged back by (key, emission index). That total order
+// is exactly what std::stable_sort on the emission order produces.
+class OrderedWalk {
+ public:
+  OrderedWalk(std::vector<std::span<const TraceRecord>> runs, bool by_tie)
+      : runs_(std::move(runs)), by_tie_(by_tie) {
+    const TraceRecord* top = nullptr;
+    std::uint64_t index = 0;
+    for (const std::span<const TraceRecord> run : runs_) {
+      for (const TraceRecord& r : run) {
+        if (top != nullptr && less(r, *top)) {
+          aside_.push_back({index, r});
+        } else {
+          top = &r;
+        }
+        ++index;
+      }
+    }
+    std::stable_sort(aside_.begin(), aside_.end(),
+                     [this](const Aside& a, const Aside& b) {
+                       return less(a.rec, b.rec);
+                     });
+    enter_run(0);
+    settle();
+  }
+
+  bool done() const {
+    return main_ == nullptr && next_aside_ == aside_.size();
+  }
+
+  const TraceRecord& front() const {
+    return take_aside() ? aside_[next_aside_].rec : *main_;
+  }
+
+  void pop() {
+    if (take_aside()) {
+      ++next_aside_;
+      return;
+    }
+    top_ = main_;
+    step();
+    settle();
+  }
+
+  /// The walks' shared key order (time, then tie for the merge).
+  bool less(const TraceRecord& a, const TraceRecord& b) const {
+    if (a.time != b.time) return a.time < b.time;
+    return by_tie_ && a.tie < b.tie;
+  }
+
+ private:
+  struct Aside {
+    std::uint64_t index;  // emission index: breaks key ties stably
+    TraceRecord rec;
+  };
+
+  bool take_aside() const {
+    if (next_aside_ == aside_.size()) return false;
+    if (main_ == nullptr) return true;
+    const Aside& a = aside_[next_aside_];
+    if (less(a.rec, *main_)) return true;
+    return !less(*main_, a.rec) && a.index < main_index_;
+  }
+
+  void enter_run(std::size_t run) {  // held() yields no empty runs
+    run_ = run;
+    if (run_ == runs_.size()) {
+      main_ = nullptr;
+      return;
+    }
+    main_ = runs_[run_].data();
+    run_end_ = main_ + runs_[run_].size();
+  }
+
+  void step() {
+    ++main_index_;
+    if (++main_ == run_end_) enter_run(run_ + 1);
+  }
+
+  // Skips the in-place records that were set aside: the same test against
+  // the same running maximum as the constructor's pass.
+  void settle() {
+    while (main_ != nullptr && top_ != nullptr && less(*main_, *top_)) step();
+  }
+
+  std::vector<std::span<const TraceRecord>> runs_;
+  bool by_tie_;
+  std::vector<Aside> aside_;
+  std::size_t next_aside_ = 0;
+  std::size_t run_ = 0;
+  const TraceRecord* main_ = nullptr;  // next in-place record, or null
+  const TraceRecord* run_end_ = nullptr;
+  std::uint64_t main_index_ = 0;
+  const TraceRecord* top_ = nullptr;  // last in-place record taken
+};
 
 }  // namespace
 
@@ -55,8 +144,9 @@ std::string_view to_string(TraceEventType t) {
   return "unknown";
 }
 
-TraceSink::TraceSink(std::size_t capacity) {
-  ring_.resize(capacity == 0 ? 1 : capacity);
+TraceSink::TraceSink(std::size_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity),
+      chunk_records_(std::min(kChunkRecords, capacity_)) {
   // Site 0 is the catch-all for records emitted before any registration.
   sites_.emplace_back("unknown");
 }
@@ -78,123 +168,158 @@ std::uint16_t TraceSink::intern_state(std::string_view name) {
   return static_cast<std::uint16_t>(states_.size() - 1);
 }
 
-std::vector<TraceRecord> TraceSink::unrolled() const {
-  std::vector<TraceRecord> out;
-  out.reserve(size());
-  if (emitted_ >= ring_.size()) {
-    // Wrapped: oldest surviving record sits at head_.
-    out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(head_),
-               ring_.end());
-    out.insert(out.end(), ring_.begin(),
-               ring_.begin() + static_cast<std::ptrdiff_t>(head_));
-  } else {
-    out.insert(out.end(), ring_.begin(),
-               ring_.begin() + static_cast<std::ptrdiff_t>(head_));
+void TraceSink::next_chunk() {
+  // Called at a chunk boundary: the next write position starts a chunk,
+  // allocated the first time the ring reaches it (never past the cap).
+  const auto pos = static_cast<std::size_t>(emitted_ % capacity_);
+  const std::size_t c = pos / chunk_records_;
+  if (c == chunks_.size()) {
+    chunks_.emplace_back(std::min(chunk_records_, capacity_ - pos));
   }
-  return out;
+  cursor_ = chunks_[c].data();
+  chunk_end_ = cursor_ + chunks_[c].size();
+}
+
+std::size_t TraceSink::reserved_bytes() const {
+  std::size_t records = 0;
+  for (const std::vector<TraceRecord>& c : chunks_) records += c.size();
+  return records * sizeof(TraceRecord);
+}
+
+void TraceSink::clear() {
+  chunks_ = {};
+  cursor_ = chunk_end_ = nullptr;
+  emitted_ = 0;
+}
+
+std::vector<std::span<const TraceRecord>> TraceSink::held() const {
+  // Ring positions [from, to) split at chunk boundaries.
+  std::vector<std::span<const TraceRecord>> runs;
+  const auto add = [&](std::size_t from, std::size_t to) {
+    while (from < to) {
+      const std::vector<TraceRecord>& c = chunks_[from / chunk_records_];
+      const std::size_t off = from % chunk_records_;
+      const std::size_t n = std::min(c.size() - off, to - from);
+      runs.emplace_back(c.data() + off, n);
+      from += n;
+    }
+  };
+  if (emitted_ > capacity_) {
+    // Wrapped: the oldest surviving record sits at the next write position.
+    const auto head = static_cast<std::size_t>(emitted_ % capacity_);
+    add(head, capacity_);
+    add(0, head);
+  } else {
+    add(0, static_cast<std::size_t>(emitted_));
+  }
+  return runs;
 }
 
 std::vector<TraceRecord> TraceSink::ordered() const {
-  std::vector<TraceRecord> out = unrolled();
-  // Emission order is execution order, which is time order except for
-  // lazily-closed aggregate records; stable sort preserves same-instant
-  // emission order (the scheduler's deterministic tie-break).
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     return a.time < b.time;
-                   });
+  std::vector<TraceRecord> out;
+  out.reserve(size());
+  for (OrderedWalk w(held(), /*by_tie=*/false); !w.done(); w.pop()) {
+    out.push_back(w.front());
+  }
   return out;
 }
 
 void TraceSink::merge_from(const std::vector<const TraceSink*>& parts) {
-  std::vector<TraceRecord> all;
-  {
-    std::size_t total = 0;
-    for (const TraceSink* p : parts) total += p->size();
-    all.reserve(total);
-  }
   // Remap every part's site/state ids by name. Processing parts in LP
   // order keeps this sink's registries equal to the sequential run's when
   // LP 0 interns everything (the dumbbell split), and deterministic
   // regardless.
+  std::vector<std::vector<std::uint8_t>> site_maps;
+  std::vector<std::vector<std::uint16_t>> state_maps;
+  std::vector<OrderedWalk> walks;
+  walks.reserve(parts.size());
   for (const TraceSink* p : parts) {
-    std::vector<std::uint8_t> site_map(p->sites_.size(), 0);
-    for (std::size_t i = 0; i < p->sites_.size(); ++i) {
-      site_map[i] = register_site(p->sites_[i]);
+    std::vector<std::uint8_t>& sites = site_maps.emplace_back();
+    for (const std::string& name : p->sites_) {
+      sites.push_back(register_site(name));
     }
-    std::vector<std::uint16_t> state_map(p->states_.size(), 0);
-    for (std::size_t i = 0; i < p->states_.size(); ++i) {
-      state_map[i] = intern_state(p->states_[i]);
+    std::vector<std::uint16_t>& states = state_maps.emplace_back();
+    for (const std::string& name : p->states_) {
+      states.push_back(intern_state(name));
     }
-    for (const TraceRecord& r : p->unrolled()) {
-      TraceRecord m = r;
-      m.site = r.site < site_map.size() ? site_map[r.site] : 0;
-      if (m.type == TraceEventType::kCcStateChange &&
-          r.detail < state_map.size()) {
-        m.detail = state_map[r.detail];
-      }
-      all.push_back(m);
-    }
+    walks.emplace_back(p->held(), /*by_tie=*/true);
   }
   // The scheduler key: execution time, then the executing event's
-  // tie-break instant (replayed across LPs by schedule_at_as_of). Stable
-  // over the LP-concatenated input, so within-LP emission order breaks
-  // any residual tie exactly as the per-LP schedulers did.
-  std::stable_sort(all.begin(), all.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.tie < b.tie;
-                   });
-  for (const TraceRecord& r : all) {
+  // tie-break instant (replayed across LPs by schedule_at_as_of). Each
+  // walk yields its part in stable key order; taking the lowest part on
+  // equal keys makes the result a stable sort of the LP-concatenated
+  // input, so within-LP emission order breaks any residual tie exactly as
+  // the per-LP schedulers did.
+  for (;;) {
+    std::size_t k = walks.size();
+    for (std::size_t i = 0; i < walks.size(); ++i) {
+      if (walks[i].done()) continue;
+      if (k == walks.size() ||
+          walks[i].less(walks[i].front(), walks[k].front())) {
+        k = i;
+      }
+    }
+    if (k == walks.size()) break;
+    const TraceRecord& r = walks[k].front();
     // Already stamped by the originating sink; bypass the stamping emit.
-    ring_[head_] = r;
-    if (++head_ == ring_.size()) head_ = 0;
-    ++emitted_;
+    TraceRecord& m = next_slot();
+    m = r;
+    m.site = r.site < site_maps[k].size() ? site_maps[k][r.site] : 0;
+    if (m.type == TraceEventType::kCcStateChange &&
+        r.detail < state_maps[k].size()) {
+      m.detail = state_maps[k][r.detail];
+    }
+    walks[k].pop();
   }
 }
 
 bool TraceSink::write_jsonl(std::ostream& os) const {
-  std::string line;
-  for (const TraceRecord& r : ordered()) {
-    line.clear();
-    line += "{\"t\":";
-    append_double(line, r.time);
-    line += ",\"type\":\"";
-    line += to_string(r.type);
-    line += "\",\"site\":\"";
-    append_escaped(line, sites_[r.site < sites_.size() ? r.site : 0]);
-    line += "\",\"flow\":";
-    append_i64(line, r.flow);
-    line += ",\"seq\":";
-    append_i64(line, r.seq);
-    line += ",\"value\":";
-    append_double(line, r.value);
-    line += ",\"aux\":";
-    append_double(line, r.aux);
-    line += ",\"detail\":";
-    append_i64(line, r.detail);
+  std::string out;
+  for (OrderedWalk w(held(), /*by_tie=*/false); !w.done(); w.pop()) {
+    const TraceRecord& r = w.front();
+    out += "{\"t\":";
+    append_double(out, r.time);
+    out += ",\"type\":\"";
+    out += to_string(r.type);
+    out += "\",\"site\":\"";
+    append_escaped(out, sites_[r.site < sites_.size() ? r.site : 0]);
+    out += "\",\"flow\":";
+    append_i64(out, r.flow);
+    out += ",\"seq\":";
+    append_i64(out, r.seq);
+    out += ",\"value\":";
+    append_double(out, r.value);
+    out += ",\"aux\":";
+    append_double(out, r.aux);
+    out += ",\"detail\":";
+    append_i64(out, r.detail);
     if (r.type == TraceEventType::kCcStateChange &&
         r.detail < states_.size()) {
-      line += ",\"state\":\"";
-      append_escaped(line, states_[r.detail]);
-      line += '"';
+      out += ",\"state\":\"";
+      append_escaped(out, states_[r.detail]);
+      out += '"';
     }
-    line += "}\n";
-    os << line;
+    out += "}\n";
+    if (out.size() >= kFlushBytes) {
+      os << out;
+      out.clear();
+    }
   }
+  os << out;
   return static_cast<bool>(os);
 }
 
 bool TraceSink::write_chrome_trace(std::ostream& os) const {
-  const std::vector<TraceRecord> recs = ordered();
+  const std::vector<std::span<const TraceRecord>> runs = held();
 
   // Flow tracks get their own pid so Perfetto groups each flow's counter
   // and instant tracks together; network sites share pid 1.
   constexpr int kNetPid = 1;
   constexpr int kFlowPidBase = 1000;
   std::vector<bool> flow_seen;
-  for (const TraceRecord& r : recs) {
-    if (r.flow >= 0) {
+  for (const std::span<const TraceRecord> run : runs) {
+    for (const TraceRecord& r : run) {
+      if (r.flow < 0) continue;
       if (static_cast<std::size_t>(r.flow) >= flow_seen.size()) {
         flow_seen.resize(static_cast<std::size_t>(r.flow) + 1, false);
       }
@@ -258,7 +383,8 @@ bool TraceSink::write_chrome_trace(std::ostream& os) const {
     out += ",\"s\":\"t\",\"args\":{";
   };
 
-  for (const TraceRecord& r : recs) {
+  for (OrderedWalk w(runs, /*by_tie=*/false); !w.done(); w.pop()) {
+    const TraceRecord& r = w.front();
     const int site_tid = r.site < sites_.size() ? r.site : 0;
     const std::string& site = sites_[static_cast<std::size_t>(site_tid)];
     const int flow_pid = kFlowPidBase + (r.flow >= 0 ? r.flow : 0);
@@ -343,7 +469,7 @@ bool TraceSink::write_chrome_trace(std::ostream& os) const {
         out += "}}";
         break;
     }
-    if (out.size() >= (std::size_t{1} << 20)) {
+    if (out.size() >= kFlushBytes) {
       os << out;
       out.clear();
     }

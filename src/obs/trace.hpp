@@ -12,9 +12,11 @@
 //    an event, never consumes RNG, never mutates component state — a
 //    traced run's ExperimentResult is bit-identical to an untraced one
 //    (tests/obs_trace_test.cpp proves it differentially).
-//  * Bounded memory. Records land in a fixed-capacity ring; when a run
-//    outgrows it, the oldest records are overwritten and counted, never
-//    reallocated mid-run.
+//  * Bounded memory that costs what it records. Records land in a ring
+//    capped at capacity() records but stored in fixed-size chunks
+//    allocated on demand, so a sink holds memory for the records it has,
+//    not for its cap. Once a run reaches the cap the oldest records are
+//    overwritten and counted; a held record is never moved.
 //
 // Exports: JSONL (one record per line, greppable) and Chrome trace-event
 // JSON (the `{"traceEvents": [...]}` dialect Perfetto and chrome://tracing
@@ -24,6 +26,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,9 +85,19 @@ inline constexpr std::uint16_t kTraceDropDisplaced = 2 << 1;
 
 class TraceSink {
  public:
+  /// Records per storage chunk (2^15 x 56 B, about 1.8 MB). A sink whose
+  /// cap is smaller stores everything in one chunk of exactly the cap.
+  static constexpr std::size_t kChunkRecords = std::size_t{1} << 15;
+
   /// @p capacity caps the ring (records, not bytes). The default holds a
-  /// full paper-scale run (N=60, 20 s is ~2-3 M packet-lifecycle records).
+  /// full paper-scale run (N=60, 20 s is ~2-3 M packet-lifecycle records);
+  /// memory is only allocated as records arrive (reserved_bytes()).
   explicit TraceSink(std::size_t capacity = std::size_t{1} << 22);
+
+  // Taps hold raw pointers to the sink and emit() writes through a cursor
+  // into the chunks: the sink stays where it was built.
+  TraceSink(const TraceSink&) = delete;
+  TraceSink& operator=(const TraceSink&) = delete;
 
   /// Registers (or finds) a named emission site — "queue:gateway",
   /// "link:bottleneck" — and returns its id for TraceRecord::site.
@@ -108,12 +121,10 @@ class TraceSink {
 
   /// Appends a record; overwrites the oldest when the ring is full.
   void emit(const TraceRecord& r) {
-    TraceRecord& slot = ring_[head_];
+    TraceRecord& slot = next_slot();
     slot = r;
     slot.tie = tie_clock_ != nullptr ? *tie_clock_ : r.time;
     slot.lp = lp_;
-    if (++head_ == ring_.size()) head_ = 0;
-    ++emitted_;
   }
 
   /// Appends a lazily-closed aggregate (a record emitted AFTER its logical
@@ -122,35 +133,41 @@ class TraceSink {
   /// live record — exactly where the sequential engine's late emission
   /// plus stable time sort lands it.
   void emit_aggregate(const TraceRecord& r) {
-    TraceRecord& slot = ring_[head_];
+    TraceRecord& slot = next_slot();
     slot = r;
     slot.tie = kTimeNever;
     slot.lp = lp_;
-    if (++head_ == ring_.size()) head_ = 0;
-    ++emitted_;
   }
 
   /// Records ever emitted (including any overwritten ones).
   std::uint64_t emitted() const { return emitted_; }
   /// Records overwritten because the ring was full.
   std::uint64_t dropped() const {
-    return emitted_ > ring_.size() ? emitted_ - ring_.size() : 0;
+    return emitted_ > capacity_ ? emitted_ - capacity_ : 0;
   }
   /// Records currently held.
   std::size_t size() const {
-    return emitted_ < ring_.size() ? static_cast<std::size_t>(emitted_)
-                                   : ring_.size();
+    return emitted_ < capacity_ ? static_cast<std::size_t>(emitted_)
+                                : capacity_;
   }
-  /// Ring capacity in records (what the constructor reserved).
-  std::size_t capacity() const { return ring_.size(); }
+  /// Ring cap in records (the constructor's @p capacity).
+  std::size_t capacity() const { return capacity_; }
+  /// Bytes of record storage actually allocated: whole chunks covering the
+  /// records held so far, never more than capacity() records' worth.
+  std::size_t reserved_bytes() const;
+
+  /// Forgets every record and frees their storage; the site and state
+  /// registries and the stamp stay. The sink then records afresh.
+  void clear();
 
   const std::vector<std::string>& sites() const { return sites_; }
   const std::vector<std::string>& states() const { return states_; }
 
-  /// The held records in nondecreasing time order. Components emit in
-  /// event-execution order, which is already time order except for
-  /// lazily-closed aggregates (FlowMonitor's final congestion event), so
-  /// this is a near-no-op stable sort.
+  /// The held records in nondecreasing time order, equal to a stable sort
+  /// of the emission order by time. Components emit in event-execution
+  /// order, which is already time order except for lazily-closed
+  /// aggregates (FlowMonitor's congestion events), so only those are
+  /// sorted; the exports walk the same order in place, without this copy.
   std::vector<TraceRecord> ordered() const;
 
   /// Deterministic multi-LP merge: appends every part's held records into
@@ -162,7 +179,10 @@ class TraceSink {
   /// producer's tie (Simulator::schedule_at_as_of), so the merged order
   /// reproduces the sequential engine's emission order and the exports
   /// are byte-identical to a 1-LP run (tests/trace_merge_test.cpp).
-  /// Call once, on a sink that has not recorded; parts stay untouched.
+  /// Records stream from the parts' chunks straight into this ring (no
+  /// intermediate copy); past this sink's cap the oldest are overwritten
+  /// and counted in dropped(). Call once, on a sink that has not recorded;
+  /// parts stay untouched.
   void merge_from(const std::vector<const TraceSink*>& parts);
 
   /// One JSON object per line; schema in scripts/trace_event.schema.json.
@@ -173,11 +193,26 @@ class TraceSink {
   bool write_chrome_trace(std::ostream& os) const;
 
  private:
-  /// The held records in emission order (ring unrolled, no sort).
-  std::vector<TraceRecord> unrolled() const;
+  /// The slot the next record goes to, counted as emitted. Crossing into
+  /// the next chunk (or wrapping at the cap) is the out-of-line slow path.
+  TraceRecord& next_slot() {
+    if (cursor_ == chunk_end_) next_chunk();
+    ++emitted_;
+    return *cursor_++;
+  }
+  void next_chunk();
 
-  std::vector<TraceRecord> ring_;
-  std::size_t head_ = 0;
+  /// The held records in emission order, as contiguous runs of chunk
+  /// storage (oldest first).
+  std::vector<std::span<const TraceRecord>> held() const;
+
+  std::size_t capacity_;
+  std::size_t chunk_records_;  // min(kChunkRecords, capacity_)
+  // Ring position p lives at chunks_[p / chunk_records_][p % chunk_records_];
+  // every chunk is full-size except possibly the last one at the cap.
+  std::vector<std::vector<TraceRecord>> chunks_;
+  TraceRecord* cursor_ = nullptr;     // next write
+  TraceRecord* chunk_end_ = nullptr;  // end of cursor_'s chunk
   std::uint64_t emitted_ = 0;
   const Time* tie_clock_ = nullptr;
   std::uint8_t lp_ = 0;

@@ -351,10 +351,11 @@ void TopoNet::attach_trace(TraceSink& sink, const TopoTraceNames& names) {
   }
 
   // A TraceSink is a single-writer ring, so a sharded build gives every
-  // LP a private ring (same capacity; sites registered in the same order
-  // so ids match the sequential run's) and finalize_trace() merges them
-  // back into @p sink after the run. A sequential build writes straight
-  // into @p sink, stamped from the build Simulator's tie clock.
+  // LP a private ring (same cap, grown only to that LP's share; sites
+  // registered in the same order so ids match the sequential run's) and
+  // finalize_trace() merges them back into @p sink after the run. A
+  // sequential build writes straight into @p sink, stamped from the build
+  // Simulator's tie clock.
   std::vector<TraceSink*> per_lp;
   if (rt_ != nullptr) {
     trace_merge_target_ = &sink;
@@ -419,6 +420,7 @@ void TopoNet::finalize_trace() {
   for (const auto& s : lp_trace_sinks_) parts.push_back(s.get());
   trace_merge_target_->merge_from(parts);
   trace_merge_target_ = nullptr;
+  for (const auto& s : lp_trace_sinks_) s->clear();
 }
 
 void TopoNet::register_metrics(MetricsRegistry& registry,

@@ -85,12 +85,13 @@ class TopoNet {
 
   /// Merges the per-LP trace rings of a sharded build into the sink given
   /// to attach_trace() (TraceSink::merge_from). Sequential builds wrote
-  /// straight into the caller's sink, so this is a no-op for them. Call
-  /// at most once, after the run completes.
+  /// straight into the caller's sink, so this is a no-op for them. The
+  /// per-LP rings are cleared afterwards, returning their memory. Call at
+  /// most once, after the run completes.
   void finalize_trace();
 
-  /// The per-LP trace rings of a sharded traced build (empty otherwise);
-  /// exposed for the runner's telemetry counters.
+  /// The per-LP trace rings of a sharded traced build (empty otherwise;
+  /// cleared by finalize_trace()).
   const std::vector<std::unique_ptr<TraceSink>>& lp_trace_sinks() const {
     return lp_trace_sinks_;
   }

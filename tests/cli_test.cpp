@@ -100,6 +100,27 @@ TEST(Cli, RejectsUnknownAndMalformed) {
   EXPECT_FALSE(parse({"--transport"}, &err).has_value());
 }
 
+// strtod accepts "nan" and "inf"; a NaN or infinite duration would never
+// end the run, so every positive-number option must reject them.
+TEST(Cli, RejectsNonFiniteNumbers) {
+  for (const std::string key :
+       {"duration", "bottleneck-mbps", "mean-interarrival"}) {
+    for (const std::string value : {"nan", "inf", "-inf"}) {
+      std::string err;
+      EXPECT_FALSE(parse({"--" + key + "=" + value}, &err).has_value())
+          << key << "=" << value;
+      EXPECT_EQ(err, "--" + key + " needs a positive number")
+          << key << "=" << value;
+    }
+  }
+  // An infinite flight-recorder cadence would silently take no samples.
+  for (const std::string value : {"nan", "inf"}) {
+    std::string err;
+    EXPECT_FALSE(parse({"--fr-period=" + value}, &err).has_value()) << value;
+    EXPECT_EQ(err, "--fr-period needs a positive number of seconds");
+  }
+}
+
 TEST(Cli, HelpFlag) {
   const auto r = parse({"--help"});
   ASSERT_TRUE(r.has_value());

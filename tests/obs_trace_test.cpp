@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -45,6 +47,85 @@ TEST(TraceSink, RingOverwritesOldestAndCounts) {
   // Records 0 and 1 were overwritten; 2..5 survive in time order.
   for (int i = 0; i < 4; ++i) {
     EXPECT_DOUBLE_EQ(got[static_cast<std::size_t>(i)].time, i + 2.0);
+  }
+}
+
+// Storage grows a chunk at a time with the records held, never to the
+// cap up front.
+TEST(TraceSink, ReservesOnlyWhatItHolds) {
+  TraceSink sink;  // default cap: 2^22 records
+  EXPECT_EQ(sink.reserved_bytes(), 0u);
+  constexpr std::size_t kChunkBytes =
+      TraceSink::kChunkRecords * sizeof(TraceRecord);
+  const std::size_t n = 2 * TraceSink::kChunkRecords + 5;
+  for (std::size_t i = 0; i < n; ++i) {
+    sink.emit(record(TraceEventType::kSourceEmit, static_cast<Time>(i)));
+    const std::size_t held = i + 1;
+    ASSERT_LE(sink.reserved_bytes(), held * sizeof(TraceRecord) + kChunkBytes)
+        << held << " records";
+    ASSERT_GE(sink.reserved_bytes(), held * sizeof(TraceRecord));
+  }
+  EXPECT_EQ(sink.capacity(), std::size_t{1} << 22);
+  EXPECT_EQ(sink.reserved_bytes(), 3 * kChunkBytes);
+  EXPECT_EQ(sink.dropped(), 0u);
+
+  sink.clear();
+  EXPECT_EQ(sink.reserved_bytes(), 0u);
+  EXPECT_EQ(sink.size(), 0u);
+  EXPECT_EQ(sink.emitted(), 0u);
+}
+
+// A cap that is not a multiple of the chunk size: the last chunk is cut
+// at the cap, the ring wraps there, and the held records come back oldest
+// first across the wrap.
+TEST(TraceSink, CapNotAMultipleOfChunkWrapsInOrder) {
+  const std::size_t cap = TraceSink::kChunkRecords + 123;
+  const std::size_t n = cap + 1000;
+  TraceSink sink(cap);
+  for (std::size_t i = 0; i < n; ++i) {
+    sink.emit(record(TraceEventType::kSourceEmit, static_cast<Time>(i)));
+  }
+  EXPECT_EQ(sink.capacity(), cap);
+  EXPECT_EQ(sink.reserved_bytes(), cap * sizeof(TraceRecord));
+  EXPECT_EQ(sink.emitted(), n);
+  EXPECT_EQ(sink.dropped(), 1000u);
+  const std::vector<TraceRecord> got = sink.ordered();
+  ASSERT_EQ(got.size(), cap);
+  for (std::size_t i = 0; i < cap; ++i) {
+    ASSERT_EQ(got[i].time, static_cast<Time>(i + 1000)) << i;
+  }
+}
+
+// ordered() walks the ring in place and sorts only the records that fall
+// behind; it must still equal a stable sort of the emission order, ties
+// and all, across chunk boundaries.
+TEST(TraceSink, OrderedEqualsStableSortOfEmissionOrder) {
+  std::mt19937_64 gen(11);
+  std::vector<TraceRecord> emitted;
+  TraceSink sink;
+  Time t = 0.0;
+  for (std::size_t i = 0; i < TraceSink::kChunkRecords + 5000; ++i) {
+    TraceRecord r = record(TraceEventType::kQueueEnqueue, t);
+    if (gen() % 50 == 0) {
+      // A late aggregate: an earlier instant, possibly tying live records.
+      r.type = TraceEventType::kCongestionEvent;
+      r.time = std::max(0.0, t - static_cast<double>(gen() % 4));
+    } else if (gen() % 3 == 0) {
+      t += 1.0;
+      r.time = t;
+    }
+    r.seq = static_cast<std::int64_t>(i);
+    sink.emit(r);
+    emitted.push_back(r);
+  }
+  std::stable_sort(emitted.begin(), emitted.end(),
+                   [](const TraceRecord& a, const TraceRecord& b) {
+                     return a.time < b.time;
+                   });
+  const std::vector<TraceRecord> got = sink.ordered();
+  ASSERT_EQ(got.size(), emitted.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].seq, emitted[i].seq) << "position " << i;
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,7 +18,11 @@
 #include "src/obs/flight_recorder.hpp"
 #include "src/obs/runtime_trace.hpp"
 #include "src/obs/trace.hpp"
+#include "src/sim/parallel/runtime.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/topo/builder.hpp"
+#include "src/topo/partition.hpp"
+#include "src/topo/spec.hpp"
 
 namespace burst {
 namespace {
@@ -167,6 +172,101 @@ TEST(TraceMerge, MergedGoldenByteExact) {
       "\"flow\":2,\"seq\":-1,\"value\":2,\"aux\":0,\"detail\":1,"
       "\"state\":\"fast-recovery\"}\n";
   EXPECT_EQ(os.str(), expected);
+}
+
+// A merge into a target whose cap is smaller than the parts' total keeps
+// the ring's semantics: the oldest merged records are overwritten and
+// counted, and the survivors are the tail of the merged order.
+TEST(TraceMerge, SmallCapTargetCountsOverwrites) {
+  TraceSink a(64), b(64);
+  b.set_stamp(nullptr, 1);
+  for (int i = 0; i < 5; ++i) {
+    a.emit(rec(TraceEventType::kQueueEnqueue, 2.0 * i, 1, i, 0.0));
+    b.emit(rec(TraceEventType::kLinkDeliver, 2.0 * i + 1.0, 2, i, 0.0));
+  }
+  TraceSink merged(4);
+  merged.merge_from({&a, &b});
+  EXPECT_EQ(merged.emitted(), 10u);
+  EXPECT_EQ(merged.dropped(), 6u);
+  const std::vector<TraceRecord> got = merged.ordered();
+  ASSERT_EQ(got.size(), 4u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].time, 6.0 + static_cast<double>(i));
+  }
+}
+
+// The streaming merge against its definition: a stable sort of the
+// LP-concatenated records on (time, tie). Random parts with cross-part
+// key collisions and late aggregates, spanning several chunks.
+TEST(TraceMerge, StreamingMergeEqualsStableSortOfParts) {
+  std::mt19937_64 gen(3);
+  TraceSink parts[3];
+  std::vector<TraceRecord> all;
+  std::int64_t id = 0;
+  for (std::uint8_t lp = 0; lp < 3; ++lp) {
+    Time tie_clock = 0.0;
+    parts[lp].set_stamp(&tie_clock, lp);
+    Time t = 0.0;
+    for (int i = 0; i < 25000; ++i) {
+      if (gen() % 4 == 0) t += 0.5;
+      tie_clock = t - 0.25 * static_cast<double>(gen() % 2);
+      TraceRecord r = rec(TraceEventType::kQueueEnqueue, t, lp, id++, 0.0);
+      if (gen() % 40 == 0) {
+        r.type = TraceEventType::kCongestionEvent;
+        r.time = std::max(0.0, t - 0.5 * static_cast<double>(gen() % 3));
+        parts[lp].emit_aggregate(r);
+        r.tie = kTimeNever;
+      } else {
+        parts[lp].emit(r);
+        r.tie = tie_clock;
+      }
+      all.push_back(r);
+    }
+    parts[lp].set_stamp(nullptr, lp);  // tie_clock goes out of scope
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [](const TraceRecord& a, const TraceRecord& b) {
+                     if (a.time != b.time) return a.time < b.time;
+                     return a.tie < b.tie;
+                   });
+  TraceSink merged;
+  merged.merge_from({&parts[0], &parts[1], &parts[2]});
+  ASSERT_EQ(merged.emitted(), all.size());
+  const std::vector<TraceRecord> got = merged.ordered();
+  ASSERT_EQ(got.size(), all.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].seq, all[i].seq) << "position " << i;
+  }
+}
+
+// finalize_trace() hands the per-LP rings' records to the caller's sink
+// and returns their memory: afterwards only the merged copy is resident.
+TEST(TraceMerge, PerLpSinksReleasedAfterFinalize) {
+  const Scenario sc = small_scenario(Transport::kReno, GatewayQueue::kRed);
+  const TopoSpec spec = make_dumbbell_spec(sc);
+  const LpPartition part = make_lp_partition(spec, 2);
+  ASSERT_EQ(part.shards, 2);
+  ParallelRuntime rt(part.shards, part.lookahead, sc.seed);
+  TopoNet net(rt, part, spec);
+  TraceSink sink;
+  net.attach_trace(sink);
+  net.start_sources();
+  rt.run(sc.duration);
+
+  ASSERT_EQ(net.lp_trace_sinks().size(), 2u);
+  std::uint64_t recorded = 0;
+  for (const auto& lp : net.lp_trace_sinks()) {
+    EXPECT_GT(lp->reserved_bytes(), 0u);
+    recorded += lp->emitted();
+  }
+  EXPECT_EQ(sink.reserved_bytes(), 0u);
+  net.finalize_trace();
+  EXPECT_EQ(sink.emitted(), recorded);
+  EXPECT_GE(sink.reserved_bytes(), recorded * sizeof(TraceRecord));
+  for (const auto& lp : net.lp_trace_sinks()) {
+    EXPECT_EQ(lp->reserved_bytes(), 0u);
+    EXPECT_EQ(lp->size(), 0u);
+  }
 }
 
 // Parallel-runtime telemetry: the deterministic LpStats subset must land
